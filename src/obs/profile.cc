@@ -40,9 +40,10 @@ std::vector<ProfileEntry> BuildSpanProfile(const TraceSink& trace) {
   const std::vector<std::string> names = trace.EventNames();
 
   // (track id, name id) -> running tally. Self time is attributed by a
-  // per-track stack walk: events within a track are seq-ordered and spans
-  // nest (single-writer contract), so a kEnd closes the innermost open
-  // kBegin, and its duration is added to the parent's child time.
+  // per-track stack walk: a track's events are contiguous and seq-ordered
+  // (MergedTrace), and spans nest (single-writer contract), so a kEnd
+  // closes the innermost open kBegin, and its duration is added to the
+  // parent's child time.
   struct OpenSpan {
     uint32_t name = 0;
     double child_seconds = 0;

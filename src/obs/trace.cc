@@ -92,6 +92,10 @@ double TraceSink::WallSeconds() const {
 
 std::vector<TraceEvent> TraceSink::MergedTrace() const {
   std::vector<TraceEvent> merged;
+  // Track id -> rank of its name. Ids follow first-use order, which writer
+  // threads race for; names are fixed by the workload, so the merge orders
+  // by name.
+  std::vector<uint32_t> rank_of_track;
   {
     std::lock_guard<std::mutex> lock(mu_);
     size_t total = 0;
@@ -100,10 +104,15 @@ std::vector<TraceEvent> TraceSink::MergedTrace() const {
     for (const auto& ring : rings_) {
       merged.insert(merged.end(), ring->events.begin(), ring->events.end());
     }
+    rank_of_track.resize(track_names_.size());
+    uint32_t rank = 0;
+    for (const auto& [name, id] : track_ids_) rank_of_track[id] = rank++;
   }
   std::sort(merged.begin(), merged.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.track != b.track) return a.track < b.track;
+            [&rank_of_track](const TraceEvent& a, const TraceEvent& b) {
+              if (a.track != b.track) {
+                return rank_of_track[a.track] < rank_of_track[b.track];
+              }
               return a.seq < b.seq;
             });
   return merged;

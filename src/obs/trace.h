@@ -8,11 +8,14 @@
 //
 // Determinism contract: a track must never be written concurrently by two
 // threads (each solver runs its whole trajectory on one thread; the engine
-// and controller are internally single-threaded), so (track, seq) is a
-// total order that does not depend on thread scheduling. MergedTrace()
-// sorts by (track, seq): for a deterministic workload the merged trace is
-// identical across runs and thread counts in everything except the
-// wall_seconds stamps, which are explicitly excluded from the guarantee.
+// and controller are internally single-threaded), so seq orders a track's
+// events independently of thread scheduling. Track ids are per-sink and
+// handed out in first-use order, which writer threads race for, so ids are
+// NOT stable across runs; MergedTrace() therefore sorts by (track *name*,
+// seq). For a deterministic workload the merged trace, read through
+// TrackNames(), is identical across runs and thread counts in everything
+// except the wall_seconds stamps, which are explicitly excluded from the
+// guarantee.
 //
 // Overflow: a full ring drops the incoming event (drop-newest) and counts
 // it in dropped_events(); instrument at probe/iteration-improvement
@@ -42,8 +45,10 @@ enum class EventKind : uint8_t {
 /// (e.g. "probe": i0 = K or subset size, i1 = feasible, d0 = DIRECT evals;
 /// "incumbent": i0 = iteration, i1 = feasible, d0 = objective).
 struct TraceEvent {
-  uint32_t track = 0;  ///< Interned track id (TraceSink::TrackName).
-  uint32_t name = 0;   ///< Interned event name id (TraceSink::EventName).
+  /// Interned track id: an index into TraceSink::TrackNames() of the sink
+  /// that recorded it, assigned in first-use order (not stable across runs).
+  uint32_t track = 0;
+  uint32_t name = 0;   ///< Interned event name id (TraceSink::EventNames()).
   EventKind kind = EventKind::kPoint;
   uint64_t seq = 0;         ///< Per-track sequence number.
   double wall_seconds = 0;  ///< Since sink construction. NOT deterministic.
@@ -62,8 +67,9 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Interns a track / event name, returning its stable id. Hot paths
-  /// should intern once outside their loops.
+  /// Interns a track / event name, returning its id (fixed for this sink's
+  /// lifetime; first-use order, so not comparable across sinks or runs).
+  /// Hot paths should intern once outside their loops.
   uint32_t InternTrack(const std::string& name);
   uint32_t InternName(const std::string& name);
 
@@ -72,8 +78,10 @@ class TraceSink {
   void Emit(uint32_t track, uint32_t name, EventKind kind, int64_t i0 = 0,
             int64_t i1 = 0, double d0 = 0, double d1 = 0);
 
-  /// All buffered events sorted by (track, seq). Call only when writers
-  /// are quiesced (after the instrumented run completes).
+  /// All buffered events sorted by (track name, seq): each track's events
+  /// are contiguous, tracks in name order, independent of id assignment.
+  /// Call only when writers are quiesced (after the instrumented run
+  /// completes).
   std::vector<TraceEvent> MergedTrace() const;
 
   /// Track / event-name id -> string (index == interned id).

@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -112,6 +113,59 @@ TEST(TraceSinkTest, MergedTraceOrdersByTrackThenSeq) {
   EXPECT_EQ(merged[2].i0, 10);
   EXPECT_EQ(merged[3].track, tb);
   EXPECT_EQ(merged[3].i0, 20);
+}
+
+TEST(TraceSinkTest, MergedTraceOrderIndependentOfInternOrder) {
+  // Track ids follow first-use order, which portfolio threads race for; the
+  // merge must not depend on it. Two sinks intern the same tracks in
+  // opposite orders and record the same per-track events (payload = the
+  // track's index in `tracks` * 100 + round).
+  const std::vector<std::string> tracks = {"engine/17", "anneal/42",
+                                           "greedy/0", "tabu/7"};
+  const size_t n = tracks.size();
+  auto record = [&tracks, n](obs::TraceSink& trace, bool reversed) {
+    std::vector<uint32_t> ids(n);
+    for (size_t k = 0; k < n; ++k) {
+      const size_t t = reversed ? n - 1 - k : k;
+      ids[t] = trace.InternTrack(tracks[t]);
+    }
+    const uint32_t name = trace.InternName("e");
+    for (int round = 0; round < 3; ++round) {
+      for (size_t k = 0; k < n; ++k) {
+        const size_t t = reversed ? n - 1 - k : k;
+        trace.Emit(ids[t], name, obs::EventKind::kPoint,
+                   static_cast<int64_t>(t) * 100 + round);
+      }
+    }
+  };
+  auto named_trace = [](const obs::TraceSink& trace) {
+    const std::vector<std::string> names = trace.TrackNames();
+    std::vector<std::pair<std::string, int64_t>> out;
+    for (const obs::TraceEvent& e : trace.MergedTrace()) {
+      out.emplace_back(names[e.track], e.i0);
+    }
+    return out;
+  };
+
+  obs::TraceSink forward;
+  obs::TraceSink backward;
+  record(forward, /*reversed=*/false);
+  record(backward, /*reversed=*/true);
+  ASSERT_NE(forward.TrackNames(), backward.TrackNames());
+
+  const auto forward_events = named_trace(forward);
+  EXPECT_EQ(named_trace(backward), forward_events);
+  // Tracks in name order (anneal, engine, greedy, tabu), each track's events
+  // in emission (seq) order.
+  const std::vector<size_t> name_order = {1, 0, 2, 3};
+  ASSERT_EQ(forward_events.size(), 3 * n);
+  for (size_t i = 0; i < forward_events.size(); ++i) {
+    const size_t t = name_order[i / 3];
+    EXPECT_EQ(forward_events[i].first, tracks[t]) << i;
+    EXPECT_EQ(forward_events[i].second,
+              static_cast<int64_t>(t) * 100 + static_cast<int64_t>(i % 3))
+        << i;
+  }
 }
 
 TEST(TraceSinkTest, PerThreadRingsMergeWithoutLoss) {
